@@ -50,7 +50,7 @@ def main() -> None:
         fanout=2,
         background_compaction=True,
     )
-    print(f"  compaction policy: {index.compaction}\n")
+    print("  flush policy: flush_rows=64, fanout=2, size-tiered merges\n")
 
     # --- the write storm ------------------------------------------------------
     storm_rounds = 300

@@ -113,24 +113,25 @@ def main() -> None:
     # --- the cached query session survives updates ------------------------------
     # Every query above ran on the same *cached session*: the projection trees
     # flattened into numpy arrays, built lazily on the first query.  Updates do
-    # not invalidate it — inserts are appended to the covering leaf (loosening
-    # only that leaf's bounds), deletes are tombstoned in a validity mask — so
-    # serving keeps its speed across churn.  bulk_insert/bulk_delete apply one
-    # vectorized patch for a whole burst.
+    # not invalidate it — inserts land in a small mutable delta, deletes clear
+    # a validity bit — so serving keeps its speed across churn, and
+    # bulk_insert/bulk_delete absorb a whole burst in one step.
     session = index.query_session()
     burst = rng.random((500, 4))
     burst_rows = index.bulk_insert(burst)
     index.bulk_delete(burst_rows[:250])
+    index.quiesce_maintenance()
     stats = session.maintenance_stats()
     print(f"\nSession after a 500-insert / 250-delete burst: "
           f"{stats['patched_inserts']} inserts and {stats['patched_deletes']} deletes "
-          f"patched in place, {stats['reflattens']} reflattens")
+          f"absorbed, {stats['flushes']} flushes, {stats['reflattens']} reflattens")
 
-    # The session reflattens itself only once garbage + appended rows exceed a
-    # quarter of the live points (the projection tree's own rebuild policy) —
-    # lazily, on the next query.  Force it eagerly from a maintenance window:
-    index.refresh_session()
-    print("After refresh_session():", session.maintenance_stats())
+    # A background compactor folds the delta into immutable levels and merges
+    # levels as they pile up (DESIGN.md section 11).  Force both now, e.g.
+    # from a maintenance window:
+    index.flush()
+    index.compact()
+    print("After flush() + compact():", session.structure())
 
     # Cleanup, and the answers still match the legacy traversal bit for bit.
     index.bulk_delete(burst_rows[250:])
@@ -179,7 +180,7 @@ def main() -> None:
           f"skew now {sharded.skew():.2f}")
 
     # --- serve while mutating: epoch snapshots ----------------------------------
-    # Every engine defaults to concurrency="snapshot" (DESIGN.md section 6):
+    # Every engine serves through epoch snapshots (DESIGN.md section 6):
     # reads pin an immutable epoch, writers publish copy-on-write successors,
     # so reader threads stay correct while writer threads insert, delete and
     # even rebalance.  snapshot() exposes the same mechanism explicitly as a

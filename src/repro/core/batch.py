@@ -43,13 +43,12 @@ module amortizes it:
   walks each layer and its admissibility argument; the net over-fetch versus
   the sequential oracle is ~1.2x, CI-gated at 2.5
   (``REPRO_BENCH_BATCH_MAX_OVERFETCH``).
-* **Incremental maintenance.**  A :class:`QuerySession` is no longer a
-  throw-away snapshot: the owning aggregator patches every live session in
-  place on ``insert``/``delete``/``bulk_insert``/``bulk_delete`` — appending
-  leaf-assigned rows, loosening the affected per-leaf bounds, tombstoning
-  deletions through a validity mask — and the session reflattens itself lazily
-  only once accumulated garbage/imbalance crosses a threshold, mirroring the
-  projection tree's own rebuild policy (see DESIGN.md).
+* **Maintenance lives elsewhere.**  A :class:`QuerySession` owns the flat
+  read kernels over one immutable :class:`SessionState`; keeping an index
+  live under writes is the job of its subclass
+  :class:`repro.core.lsm.LsmSession`, which layers such states as immutable
+  levels under a small mutable delta (DESIGN.md section 11).  A plain
+  ``QuerySession`` reflattens lazily once the aggregator has mutated.
 
 This makes the flattened arrays the primary execution substrate: the ``m = 1``
 fast path of ``SDIndex.query`` runs through the same kernels and stays
@@ -75,7 +74,7 @@ import numpy as np
 from repro import faults
 from repro.core.angles import refine_angles
 from repro.core.deadline import Deadline
-from repro.core.epoch import EpochManager, validate_concurrency
+from repro.core.epoch import EpochManager
 from repro.core.geometry import Angle
 from repro.core.query import SDQuery
 from repro.core.results import BatchResult, Match, TopKResult
@@ -130,9 +129,8 @@ _VERIFY_POOL = 64
 #: shapes the projection trees is untouched, so refinement never rebuilds.
 _BOUND_GRID_REFINE = 4
 
-#: Fraction of live rows worth of accumulated garbage (tombstones) plus
-#: imbalance (bound-loosening appends) a session tolerates before it
-#: reflattens, mirroring ``ProjectionTree.rebuild_threshold``.
+#: Fraction of live rows worth of level tombstones an LSM session tolerates
+#: before it compacts them away, mirroring ``ProjectionTree.rebuild_threshold``.
 _REFLATTEN_THRESHOLD = 0.25
 
 
@@ -970,12 +968,11 @@ class SessionState:
     Everything the vectorized kernels read lives here: the snapshot row ids
     and coordinate matrix, the validity mask, the per-pair flattened trees
     (with their per-leaf bounds), the sorted-column arrays and the
-    id->position maps.  Under ``concurrency="snapshot"`` readers pin one
-    ``SessionState`` through the session's
-    :class:`~repro.core.epoch.EpochManager` and execute entirely against it,
-    so writers preparing the next state can never tear a read; under
-    ``concurrency="unsafe"`` the same object is patched in place (the legacy
-    single-threaded behavior).
+    id->position maps.  Readers pin one ``SessionState`` (or an LSM world of
+    them) through the session's :class:`~repro.core.epoch.EpochManager` and
+    execute entirely against it, so writers preparing the next state can
+    never tear a read.  ``appended``/``tombstoned`` count rows patched in
+    since the state was flattened (an LSM level only ever tombstones).
     """
 
     __slots__ = (
@@ -1030,11 +1027,6 @@ class SessionState:
             return np.empty(0, dtype=np.int64)
         return self.row_order[np.searchsorted(self.sorted_rows, row_ids)]
 
-    def assign_from(self, other: "SessionState") -> None:
-        """Overwrite every field in place (the ``concurrency="unsafe"`` path)."""
-        for slot in SessionState.__slots__:
-            setattr(self, slot, getattr(other, slot))
-
     def garbage_fraction(self) -> float:
         """Accumulated garbage + imbalance relative to the live population.
 
@@ -1061,25 +1053,18 @@ class QuerySession:
     :meth:`run_one`) can then be answered against the shared state with
     :meth:`run`.
 
-    Sessions survive index mutation: the owning aggregator registers every
-    session it creates and patches the flattened arrays on each
-    ``insert``/``delete``/``bulk_insert``/``bulk_delete`` — appended rows are
-    leaf-assigned and loosen only the covering leaf's bounds, deletions are
-    tombstoned through a validity mask, and the 1D sorted-column state is
-    spliced incrementally.  Once accumulated garbage plus imbalance exceeds
-    ``reflatten_threshold`` (a fraction of the live population, mirroring the
-    projection tree's rebuild policy) the session marks itself dirty and
-    reflattens lazily on the next :meth:`run` — call :meth:`reflatten` to force
-    it eagerly.  See DESIGN.md for the maintenance policy discussion.
+    This class holds the read side only: the flat filter-and-verify kernels,
+    the epoch manager and the lazy reflatten.  A plain session notices that
+    the aggregator has mutated (its ``mutations`` counter moved) and
+    reflattens on the next :meth:`run` — call :meth:`reflatten` to force it
+    eagerly.  The sessions an aggregator actually serves from are
+    LSM sessions (:class:`repro.core.lsm.LsmSession`), which the aggregator
+    patches on every write instead of reflattening (DESIGN.md section 11).
 
-    **Concurrency.**  The execution state lives in epoch-published
-    :class:`SessionState` objects (DESIGN.md section 6).  Under the default
-    ``concurrency="snapshot"`` every patch builds a successor state
-    copy-on-write (cloning exactly the arrays it would have mutated in place)
-    and publishes it atomically, so readers that pinned an epoch — via
-    :meth:`snapshot` or implicitly per :meth:`run` — are immune to concurrent
-    writers.  ``concurrency="unsafe"`` patches the current state in place:
-    slightly cheaper, but only sound with single-threaded mutation.
+    **Concurrency.**  The execution state lives in epoch-published immutable
+    values (DESIGN.md section 6).  Readers pin an epoch — via :meth:`snapshot`
+    or implicitly per :meth:`run` — and are immune to writers publishing
+    successors.
     """
 
     def __init__(
@@ -1087,11 +1072,7 @@ class QuerySession:
         aggregator,
         seed_pool: int = _SEED_POOL,
         reflatten_threshold: float = _REFLATTEN_THRESHOLD,
-        concurrency: Optional[str] = None,
     ) -> None:
-        if concurrency is None:
-            concurrency = getattr(aggregator, "concurrency", "snapshot")
-        validate_concurrency(concurrency)
         self._aggregator = aggregator
         self._seed_pool = int(seed_pool)
         if self._seed_pool < 1:
@@ -1100,21 +1081,16 @@ class QuerySession:
             # query — full scans that *look* like correct (slow) answers.
             raise ValueError(f"seed_pool must be >= 1, got {seed_pool}")
         self.reflatten_threshold = float(reflatten_threshold)
-        self.concurrency = concurrency
         #: Epoch manager of the published execution states; readers pin, the
-        #: writer (the owning aggregator's patch path) publishes.
+        #: writer (a reflatten, or the LSM patch path) publishes.
         self.epochs = EpochManager()
         #: Lifetime maintenance counters (survive reflattening).
         self.reflattens = 0
         self.patched_inserts = 0
         self.patched_deletes = 0
-        self._dirty = False
-        # Building reads the aggregator's structures; registration makes the
-        # session visible to its patch path — both under the writer lock so a
-        # concurrent mutation can neither tear the build nor miss the session.
+        # Building reads the aggregator's structures, which writers mutate.
         with aggregator.write_lock:
             self._build()
-            aggregator._register_session(self)
 
     # ------------------------------------------------------------------ state
     @property
@@ -1123,16 +1099,9 @@ class QuerySession:
 
         Read atomically through the epoch manager: a publish racing this read
         may reclaim the *epoch*, but the returned state object itself is
-        immutable (snapshot mode) and stays valid for the holder.
+        immutable and stays valid for the holder.
         """
         return self.epochs.current_state()
-
-    def _install(self, state: SessionState) -> None:
-        """Make ``state`` current: publish a new epoch, or patch in place."""
-        if self.concurrency == "snapshot":
-            self.epochs.publish(state)
-        else:
-            self._state.assign_from(state)
 
     def _build(self) -> None:
         """(Re)build the flattened execution state from the aggregator."""
@@ -1141,15 +1110,14 @@ class QuerySession:
     def _flatten_state(self) -> SessionState:
         """Flatten the aggregator's live structures into one execution state.
 
-        Shared by the in-place session (:meth:`_build` publishes it directly)
-        and the LSM session (:mod:`repro.core.lsm`), which wraps it as the
-        initial immutable level of its layered world.
+        A plain session (:meth:`_build`) publishes it directly; the LSM
+        session (:mod:`repro.core.lsm`) wraps it as the single immutable level
+        of a fresh layered world.
         """
         aggregator = self._aggregator
         if aggregator._columns_dirty:
             aggregator._refresh_columns()
         self._generation = aggregator.mutations
-        self._dirty = False
 
         deleted = aggregator._deleted
         extras = aggregator._extra_points
@@ -1212,7 +1180,7 @@ class QuerySession:
             state.pair_leaf_of_position.append(leaf_of_position)
 
         # Session-owned sorted-column state (values stay aligned with the
-        # snapshot positions); patched incrementally, never rebuilt per update.
+        # snapshot positions).
         for dim in aggregator._column_dims:
             column = aggregator._columns[dim]
             state.col_values[dim] = np.array(column.values)
@@ -1223,7 +1191,7 @@ class QuerySession:
     @property
     def needs_reflatten(self) -> bool:
         """True once the next :meth:`run` will rebuild the flattened state."""
-        return self._dirty or self._generation != self._aggregator.mutations
+        return self._generation != self._aggregator.mutations
 
     def reflatten(self) -> None:
         """Force an eager rebuild of the flattened state (counts in ``reflattens``)."""
@@ -1250,155 +1218,6 @@ class QuerySession:
         Defined (saturating denominator) even when every row is tombstoned.
         """
         return self._state.garbage_fraction()
-
-    def _check_garbage(self, state: SessionState) -> None:
-        if (state.appended + state.tombstoned) > self.reflatten_threshold * max(
-            state.num_live, 1
-        ):
-            self._dirty = True
-
-    def apply_insert(self, row_id: int, vector: np.ndarray) -> None:
-        """Patch one inserted point into the session (called by the aggregator)."""
-        self.apply_bulk_insert(
-            np.asarray([row_id], dtype=np.int64), np.asarray(vector, dtype=float)[None, :]
-        )
-
-    def apply_bulk_insert(self, row_ids, matrix) -> None:
-        """Patch a batch of inserted points into a successor execution state.
-
-        Under ``concurrency="snapshot"`` the successor is built copy-on-write
-        and published as a new epoch; under ``"unsafe"`` the current state's
-        fields are overwritten in place.
-        """
-        self._generation = self._aggregator.mutations
-        if self._dirty:
-            return
-        row_ids = np.asarray(row_ids, dtype=np.int64)
-        matrix = np.asarray(matrix, dtype=float)
-        count = len(row_ids)
-        if count == 0:
-            return
-        state = self._state
-        if any(flat.num_leaves == 0 for _, _, flat in state.pairs):
-            # The flat view was built over an empty tree; nothing to patch
-            # into.  Mark dirty so the next read reflattens into a valid
-            # non-empty view (regression: fully-emptied-then-refilled index).
-            self._dirty = True
-            return
-        cow = self.concurrency == "snapshot"
-        start = len(state.rows)
-        new_positions = np.arange(start, start + count, dtype=np.int64)
-        rows = np.concatenate([state.rows, row_ids])
-        full_matrix = (
-            np.vstack([state.matrix, matrix]) if len(state.matrix) else matrix.copy()
-        )
-        live = np.concatenate([state.live, np.ones(count, dtype=bool)])
-        columns_by_dim = {
-            dim: np.concatenate([values, np.ascontiguousarray(matrix[:, dim])])
-            for dim, values in state.columns_by_dim.items()
-        }
-        # Maintain the sorted row-id -> position map.
-        id_order = np.argsort(row_ids, kind="stable")
-        sorted_new = row_ids[id_order]
-        insert_at = np.searchsorted(state.sorted_rows, sorted_new)
-        sorted_rows = np.insert(state.sorted_rows, insert_at, sorted_new)
-        row_order = np.insert(state.row_order, insert_at, new_positions[id_order])
-        # Patch every pair tree (cloned copy-on-write under snapshot mode, so
-        # pinned epochs keep their bounds and masks) and its inverse leaf map.
-        pairs: List[Tuple[int, int, _FlatTree]] = []
-        pair_leaf_of_position: List[np.ndarray] = []
-        for p, (rep_dim, att_dim, flat) in enumerate(state.pairs):
-            # Clone for snapshot isolation — and also whenever the flat view's
-            # patched arrays are read-only (a snapshot restored with
-            # ``load(..., mmap=True)`` memory-maps them): ``append_points``
-            # must never write into a mapped file.
-            if cow or not flat.live.flags.writeable:
-                flat = flat.clone()
-            leaves = flat.append_points(row_ids, matrix[:, att_dim], matrix[:, rep_dim])
-            pairs.append((rep_dim, att_dim, flat))
-            pair_leaf_of_position.append(
-                np.concatenate([state.pair_leaf_of_position[p], leaves])
-            )
-        # Splice the new values into the session-owned sorted columns.  The
-        # batch must be presorted per column: np.insert keeps same-gap values
-        # in the given order, so unsorted input would break the sorted-column
-        # invariant every searchsorted probe relies on.
-        col_values: Dict[int, np.ndarray] = {}
-        col_positions: Dict[int, np.ndarray] = {}
-        for dim in state.col_values:
-            values = np.ascontiguousarray(matrix[:, dim])
-            value_order = np.argsort(values, kind="stable")
-            sorted_values = values[value_order]
-            at = np.searchsorted(state.col_values[dim], sorted_values)
-            col_values[dim] = np.insert(state.col_values[dim], at, sorted_values)
-            col_positions[dim] = np.insert(
-                state.col_positions[dim], at, new_positions[value_order]
-            )
-        successor = SessionState(
-            rows=rows,
-            matrix=full_matrix,
-            live=live,
-            num_live=state.num_live + count,
-            row_order=row_order,
-            sorted_rows=sorted_rows,
-            columns_by_dim=columns_by_dim,
-            pairs=pairs,
-            pair_leaf_of_position=pair_leaf_of_position,
-            col_values=col_values,
-            col_positions=col_positions,
-            appended=state.appended + count,
-            tombstoned=state.tombstoned,
-        )
-        self._install(successor)
-        self.patched_inserts += count
-        self._check_garbage(successor)
-
-    def apply_delete(self, row_id: int) -> None:
-        """Tombstone one deleted row (called by the aggregator)."""
-        self.apply_bulk_delete(np.asarray([row_id], dtype=np.int64))
-
-    def apply_bulk_delete(self, row_ids) -> None:
-        """Tombstone a batch of deleted rows through the validity mask.
-
-        Snapshot mode copies the mask before writing it (the only in-place
-        mutation a delete patch performs), so pinned epochs keep serving the
-        rows they saw alive.
-        """
-        self._generation = self._aggregator.mutations
-        if self._dirty:
-            return
-        row_ids = np.asarray(row_ids, dtype=np.int64)
-        if len(row_ids) == 0:
-            return
-        state = self._state
-        positions = state.positions_of(row_ids)
-        # Copy under snapshot isolation, and always when the mask is read-only
-        # (an mmap-restored state): the tombstone write must never land in a
-        # mapped snapshot file.
-        live = (
-            state.live.copy()
-            if self.concurrency == "snapshot" or not state.live.flags.writeable
-            else state.live
-        )
-        live[positions] = False
-        successor = SessionState(
-            rows=state.rows,
-            matrix=state.matrix,
-            live=live,
-            num_live=state.num_live - len(row_ids),
-            row_order=state.row_order,
-            sorted_rows=state.sorted_rows,
-            columns_by_dim=state.columns_by_dim,
-            pairs=state.pairs,
-            pair_leaf_of_position=state.pair_leaf_of_position,
-            col_values=state.col_values,
-            col_positions=state.col_positions,
-            appended=state.appended,
-            tombstoned=state.tombstoned + len(row_ids),
-        )
-        self._install(successor)
-        self.patched_deletes += len(row_ids)
-        self._check_garbage(successor)
 
     def maintenance_stats(self) -> Dict[str, int]:
         """Counters describing how the session has been kept alive."""

@@ -36,7 +36,7 @@ from typing import Any, Callable, List, Optional
 
 from repro import faults
 
-__all__ = ["Epoch", "EpochManager", "validate_concurrency"]
+__all__ = ["Epoch", "EpochManager"]
 
 #: Fault points of the epoch lifecycle (DESIGN.md §9).  Both fire *before*
 #: any bookkeeping mutates, so an injected raise leaves the manager exactly
@@ -47,15 +47,6 @@ _FP_PIN = faults.declare_fault_point(
 _FP_PUBLISH = faults.declare_fault_point(
     "epoch.publish", "writer about to publish a successor epoch"
 )
-
-
-def validate_concurrency(mode: str) -> str:
-    """Validate a ``concurrency`` knob value (shared by every engine facade)."""
-    if mode not in ("snapshot", "unsafe"):
-        raise ValueError(
-            f"unknown concurrency mode {mode!r}; use 'snapshot' or 'unsafe'"
-        )
-    return mode
 
 
 class Epoch:
@@ -201,28 +192,13 @@ class EpochManager:
             self._on_reclaim(epoch)
 
     # ------------------------------------------------------------------ peeking
-    @property
-    def current(self) -> Epoch:
-        """The current epoch without pinning it (raises before first publish).
-
-        Only safe for single-threaded owners (the ``concurrency="unsafe"``
-        paths) or for monitoring; concurrent readers must :meth:`pin` — or
-        use :meth:`current_state`, which reads the epoch and its state in one
-        atomic step.
-        """
-        current = self._current
-        if current is None:
-            raise RuntimeError("no epoch has been published yet")
-        return current
-
     def current_state(self) -> Any:
         """The current epoch's state, read atomically under the manager lock.
 
         Safe without pinning: a concurrent publish can reclaim the *epoch*
         (dropping its state pointer), but the caller already holds a direct
         reference to the state object, which stays intact — reclamation never
-        mutates published states.  Use this instead of ``current.state``
-        whenever another thread may publish in between the two reads.
+        mutates published states.
         """
         with self._lock:
             if self._current is None:

@@ -1,10 +1,10 @@
 """LSM-structured session maintenance (DESIGN.md section 11).
 
-The in-place :class:`~repro.core.batch.QuerySession` patches one flattened
-world per update and pays a stop-the-world reflatten once garbage crosses a
-threshold — O(n) splices on the write path and an O(n log n) pause that will
-not survive sustained write traffic.  This module restructures maintenance as
-a small log-structured merge hierarchy:
+This module is the one engine that keeps an SD-Index's flattened execution
+state live under writes.  Patching a single flattened world per update would
+cost O(n) splices on the write path plus a stop-the-world reflatten once
+garbage piles up; instead, maintenance is a small log-structured merge
+hierarchy:
 
 * **Delta.**  A bounded mutable :class:`DeltaState` absorbs every insert as a
   plain array append (no tree, no sorted-column splices) and every delete of a
@@ -19,9 +19,8 @@ a small log-structured merge hierarchy:
   publish through the session's :class:`~repro.core.epoch.EpochManager`, so a
   pinned reader never observes a half-compacted world — the same protocol as
   ``rebalance()``.  The default policy is size-tiered (merge a tier once it
-  holds ``fanout`` levels); the legacy 25 %-garbage reflatten survives as the
-  garbage-collection trigger, and ``compaction="legacy"`` on the aggregator
-  bypasses this module entirely.
+  holds ``fanout`` levels), plus a garbage-collection merge once level
+  tombstones exceed 25 % of the live rows.
 
 **Exactness.**  Scores depend only on coordinates, so a row scores
 bit-identically no matter which level holds it.  Queries seed one global
@@ -53,17 +52,7 @@ from repro.core.deadline import Deadline
 from repro.core.results import BatchResult, Match, TopKResult
 from repro.core.topk import TopKIndex
 
-__all__ = [
-    "COMPACTION_MODES",
-    "DeltaState",
-    "Level",
-    "LsmWorld",
-    "LsmSession",
-    "validate_compaction",
-]
-
-#: Accepted values of the aggregator's ``compaction`` knob.
-COMPACTION_MODES = ("legacy", "size_tiered")
+__all__ = ["DeltaState", "Level", "LsmWorld", "LsmSession"]
 
 #: Delta occupancy (live rows) that schedules a flush.
 _FLUSH_ROWS = 256
@@ -83,15 +72,6 @@ _FP_MERGE = faults.declare_fault_point(
     "compact.merge",
     "LSM level merge: building a merged level aside before the epoch flip",
 )
-
-
-def validate_compaction(compaction: str) -> str:
-    """Validate and return the compaction mode."""
-    if compaction not in COMPACTION_MODES:
-        raise ValueError(
-            f"unknown compaction mode {compaction!r}; use one of {COMPACTION_MODES}"
-        )
-    return compaction
 
 
 def _locate_live(sorted_rows, row_order, live, ids):
@@ -251,8 +231,7 @@ class LsmWorld:
     level) plus level-resident tombstones.  A delta-absorbed delete removes
     its row from the pending count and adds **nothing** to the tombstone
     count — the row never reached a level, so there is no level garbage to
-    collect for it (the in-place session double-counts this case: one
-    ``appended`` plus one ``tombstoned`` for a net-zero row).
+    collect for it.
     """
 
     __slots__ = ("levels", "delta")
@@ -316,16 +295,14 @@ class LsmSession(QuerySession):
     """A :class:`QuerySession` whose epochs hold layered :class:`LsmWorld`\\ s.
 
     The read surface (``run``/``snapshot``/``upper_bounds``/``sample_scores``)
-    and the aggregator patch surface (``apply_*``) are unchanged; only the
-    shape of the published state differs.  Writers append to the delta or
-    copy one validity mask — never a sorted-column splice, never a reflatten.
+    is the base class's; this class adds the write path the owning aggregator
+    patches through (``apply_*``) and publishes layered worlds instead of one
+    flat state.  Writers append to the delta or copy one validity mask —
+    never a sorted-column splice, never a reflatten.
     Maintenance happens through :meth:`flush`/:meth:`compact`, driven either
     by the owning aggregator's post-write trigger (inline or on a short-lived
     background thread) or explicitly by a durability wrapper that journals
     each structure op (``auto_compaction=False``).
-
-    Requires ``concurrency="snapshot"``: the LSM write path is defined by
-    copy-on-write epoch publication.
     """
 
     def __init__(
@@ -337,8 +314,6 @@ class LsmSession(QuerySession):
         fanout: int = _FANOUT,
         background: bool = True,
     ) -> None:
-        if getattr(aggregator, "concurrency", "snapshot") != "snapshot":
-            raise ValueError("LSM sessions require concurrency='snapshot'")
         if flush_rows < 1:
             raise ValueError("flush_rows must be >= 1")
         if fanout < 2:
@@ -363,7 +338,11 @@ class LsmSession(QuerySession):
             kwargs["seed_pool"] = seed_pool
         if reflatten_threshold is not None:
             kwargs["reflatten_threshold"] = reflatten_threshold
-        super().__init__(aggregator, **kwargs)
+        # Build and registration share the writer lock, so a concurrent
+        # mutation can neither tear the build nor miss the session.
+        with aggregator.write_lock:
+            super().__init__(aggregator, **kwargs)
+            aggregator._register_session(self)
 
     # ------------------------------------------------------------------ state
     @property
@@ -507,8 +486,8 @@ class LsmSession(QuerySession):
         merge = self._pick_tier_merge(world)
         if merge is not None:
             return ("compact", merge)
-        # Garbage collection: the legacy reflatten threshold, now one
-        # compaction trigger among several.  Only level tombstones count —
+        # Garbage collection: the reflatten threshold, as one compaction
+        # trigger among several.  Only level tombstones count —
         # the delta backlog is the flush trigger's business, and a
         # delta-absorbed delete contributes to neither (its row never
         # became level garbage).

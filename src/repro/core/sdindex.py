@@ -40,21 +40,21 @@ class SDIndex:
 
     **Cached session lifecycle.**  Both paths execute on a shared
     *query session* — the projection trees flattened into leaf-aligned numpy
-    arrays (see :class:`repro.core.batch.QuerySession` and DESIGN.md):
+    arrays, kept live by LSM maintenance (see :class:`repro.core.lsm.LsmSession`
+    and DESIGN.md section 11):
 
     * The session is built lazily on the first :meth:`query` /
       :meth:`batch_query` call and then reused; :meth:`query_session` returns
       it for direct batch use.
     * :meth:`insert`, :meth:`delete`, :meth:`bulk_insert` and
-      :meth:`bulk_delete` do **not** invalidate it: the flattened arrays are
-      patched in place (appended leaf rows, a tombstone validity mask,
-      loosened leaf bounds), so serving continues at full speed across
-      updates.
-    * Once accumulated tombstones plus bound-loosening appends exceed a
-      quarter of the live rows, the session marks itself dirty and reflattens
-      on the next query — exactly the projection tree's own rebuild policy.
-      Call :meth:`refresh_session` to force the reflatten eagerly (e.g. from a
-      maintenance thread after a bulk load).
+      :meth:`bulk_delete` do **not** invalidate it: inserts land in a small
+      mutable delta and deletes clear a validity bit, so serving continues at
+      full speed across updates.
+    * Flushes fold the delta into immutable levels and merges fold levels
+      together (size-tiered, plus a garbage-collection merge once level
+      tombstones exceed a quarter of the live rows), in the background by
+      default; :meth:`flush`, :meth:`compact` and :meth:`lsm_maintain` run
+      them on demand.
 
     The single-query fast path returns scores bit-identical to the legacy
     threshold traversal, which remains available as the verification oracle
@@ -88,8 +88,6 @@ class SDIndex:
         leaf_capacity: int = 32,
         pairing: str = "order",
         row_ids: Optional[Sequence[int]] = None,
-        concurrency: str = "snapshot",
-        compaction: str = "size_tiered",
         flush_rows: Optional[int] = None,
         fanout: Optional[int] = None,
         background_compaction: bool = True,
@@ -116,17 +114,10 @@ class SDIndex:
             branching=branching,
             leaf_capacity=leaf_capacity,
             row_ids=row_ids,
-            concurrency=concurrency,
-            compaction=compaction,
             flush_rows=flush_rows,
             fanout=fanout,
             background_compaction=background_compaction,
         )
-
-    @property
-    def concurrency(self) -> str:
-        """``"snapshot"`` (epoch-isolated reads, default) or ``"unsafe"``."""
-        return self._aggregator.concurrency
 
     def _validate_roles(self) -> None:
         used = set(self.repulsive) | set(self.attractive)
@@ -256,8 +247,8 @@ class SDIndex:
 
         With the default ``seed_pool`` this is the same session the
         single-query fast path and :meth:`batch_query` use; its
-        ``maintenance_stats()`` expose how many updates were patched in place
-        and how often it reflattened.  Pass a custom ``seed_pool`` for a
+        ``maintenance_stats()`` expose how many updates it absorbed and how
+        often it flushed, compacted or reflattened.  Pass a custom ``seed_pool`` for a
         private session (also maintained).
         """
         return self._aggregator.session(seed_pool=seed_pool)
@@ -269,11 +260,6 @@ class SDIndex:
             session.reflatten()
 
     # ------------------------------------------------------------- maintenance
-    @property
-    def compaction(self) -> str:
-        """``"size_tiered"`` (LSM maintenance) or ``"legacy"`` (in-place)."""
-        return self._aggregator.compaction
-
     def lsm_maintain(self):
         """Run due LSM flushes/merges now; returns the structure ops applied."""
         return self._aggregator.lsm_maintain()
@@ -296,8 +282,7 @@ class SDIndex:
 
     def maintenance_stats(self):
         """The serving session's maintenance counters (patches, reflattens,
-        epochs; plus ``levels``/``flushes``/``compactions``/``delta_live``
-        when the default LSM session is in charge)."""
+        epochs, ``levels``/``flushes``/``compactions``/``delta_live``)."""
         return self._aggregator.maintenance_stats()
 
     def snapshot(self) -> "SDIndexSnapshot":
@@ -345,7 +330,7 @@ class SDIndex:
     def insert(self, point: Sequence[float], row_id: Optional[int] = None) -> int:
         """Insert a point into the index; returns its row id.
 
-        Cached query sessions are patched in place, not invalidated.
+        Cached query sessions absorb the point, they are not invalidated.
         """
         return self._aggregator.insert(point, row_id)
 

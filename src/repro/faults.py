@@ -1,15 +1,14 @@
 """Deterministic, seed-driven fault injection plane (DESIGN.md section 9).
 
-PR 5 proved crash hooks earn their keep: ``install_fault_hook`` let the
-recovery suite kill a subprocess *between* two specific writes and assert
-the WAL contract byte by byte.  But that hook lives inside
-:mod:`repro.core.persistence`, fires only on durability boundaries, and can
-only do whatever the installed callable does.  The rest of the stack — shard
-probes, kernel dispatch, epoch pin/publish, coalescer flushes — had no
+Crash hooks earned their keep first: a hook at the durability
+boundaries let the recovery suite kill a subprocess *between* two specific
+writes and assert the WAL contract byte by byte.  The rest of the stack —
+shard probes, kernel dispatch, epoch pin/publish, coalescer flushes — had no
 injection surface at all, so "what happens when one shard is slow" was
 untestable without monkeypatching internals.
 
-This module generalizes the idea into a first-class *fault plane*:
+This module generalizes the idea into the one *fault plane* every layer,
+persistence included, fires through:
 
 * **Named fault points.**  Every instrumented site declares itself with
   :func:`declare_fault_point` at import time and calls :func:`fire` inline.

@@ -215,23 +215,27 @@ DRIVER = textwrap.dedent(
     """
     import os, sys
     import numpy as np
+    from repro import faults
     from repro.core import persistence
     from repro.core.sdindex import SDIndex
 
     path, fault_point, fault_at = sys.argv[1], sys.argv[2], int(sys.argv[3])
-    seen = {"count": 0}
 
-    def hook(point):
-        if point == fault_point:
-            seen["count"] += 1
-            if seen["count"] == fault_at:
-                os._exit(1)  # simulated crash: no flush, no cleanup
+    class Crash:
+        # A stand-in fault plane: dies at the fault_at-th hit of fault_point.
+        seen = 0
+
+        def fire(self, point, key=None):
+            if point == fault_point:
+                self.seen += 1
+                if self.seen == fault_at:
+                    os._exit(1)  # simulated crash: no flush, no cleanup
 
     rng = np.random.default_rng(7)
     data = rng.random((120, 4))
     engine = SDIndex.build(data, repulsive=(0, 1), attractive=(2, 3))
     durable = persistence.DurableIndex.create(engine, path)
-    persistence.install_fault_hook(hook)
+    faults.install_fault_plane(Crash())
     for step in range(30):
         durable.insert(rng.random(4))
         if step == 14:
@@ -353,14 +357,17 @@ ROTATE_DRIVER = textwrap.dedent(
     """
     import os, sys
     import numpy as np
+    from repro import faults
     from repro.core import persistence
     from repro.core.sdindex import SDIndex
 
     path, fault_point = sys.argv[1], sys.argv[2]
 
-    def hook(point):
-        if point == fault_point:
-            os._exit(1)  # simulated crash mid-rotation: no flush, no cleanup
+    class Crash:
+        # A stand-in fault plane: dies at the first hit of fault_point.
+        def fire(self, point, key=None):
+            if point == fault_point:
+                os._exit(1)  # simulated crash mid-rotation: no flush, no cleanup
 
     rng = np.random.default_rng(11)
     data = rng.random((100, 4))
@@ -368,8 +375,8 @@ ROTATE_DRIVER = textwrap.dedent(
     durable = persistence.DurableIndex.create(engine, path, fsync="os")
     for _ in range(12):
         durable.insert(rng.random(4))
-    persistence.install_fault_hook(hook)
-    durable.checkpoint()  # rotates the WAL; the hook kills inside rotate()
+    faults.install_fault_plane(Crash())
+    durable.checkpoint()  # rotates the WAL; the plane kills inside rotate()
     os._exit(0)  # the fault point never fired
     """
 )

@@ -3,8 +3,8 @@
 The fast path (``SDIndex.query`` default, ``TopKIndex`` ``"flat"`` strategy)
 must return bit-identical scores to the legacy threshold traversal and to the
 ``SequentialScan`` oracle, and must stay exact while the cached query session
-is patched in place by interleaved ``insert``/``delete``/``bulk_insert``/
-``bulk_delete`` sequences — including across threshold-triggered
+absorbs interleaved ``insert``/``delete``/``bulk_insert``/``bulk_delete``
+sequences — including across flushes and a plain session's lazy
 reflattening.  Row-id equality with the legacy path is guarded by the usual
 boundary-tie check (the legacy traversal resolves an exact tie at the k-th
 boundary by traversal order, the fast path by row id); on the continuous
@@ -149,26 +149,24 @@ class TestSessionMaintenance:
 
     @pytest.mark.parametrize("roles", [((0, 1, 2), (3,)), ((0,), (1, 2, 3))])
     def test_bulk_insert_keeps_leftover_columns_sorted(self, roles):
-        """Regression: splicing a same-gap, descending-valued bulk insert into
-        the session's sorted columns must presort the batch, or every
-        searchsorted probe afterwards sees an unsorted array and the fast path
-        silently drops true answers."""
+        """Regression: a same-gap, descending-valued bulk insert must land in
+        sorted columns once flushed into a level, or every searchsorted probe
+        afterwards sees an unsorted array and the fast path silently drops
+        true answers."""
         repulsive, attractive = roles
         rng = np.random.default_rng(46)
         # A deliberate value gap in every dimension around (0.4, 0.6).
         base = rng.random((300, 4))
         base = np.where((base > 0.4) & (base < 0.6), base - 0.4, base)
-        # The splice under test is the legacy in-place patch path; LSM
-        # sessions absorb inserts into the delta and never splice.
-        index = SDIndex.build(
-            base, repulsive=repulsive, attractive=attractive, compaction="legacy"
-        )
+        index = SDIndex.build(base, repulsive=repulsive, attractive=attractive)
         session = index.query_session()
         # Two batches landing inside the gap in descending order.
         index.bulk_insert(np.full((1, 4), 0.52))
         index.bulk_insert(np.vstack([np.full(4, 0.55), np.full(4, 0.48)]))
-        for dim, values in session._col_values.items():
-            assert np.all(np.diff(values) >= 0), f"column {dim} unsorted"
+        index.flush()
+        for level in session._world.levels:
+            for dim, values in level.state.col_values.items():
+                assert np.all(np.diff(values) >= 0), f"column {dim} unsorted"
         rows = list(range(303))
         matrix = np.vstack([base, np.full((1, 4), 0.52),
                             np.full((1, 4), 0.55), np.full((1, 4), 0.48)])
@@ -195,16 +193,17 @@ class TestSessionMaintenance:
         assert len(index) == 30
         index.query(rng.random(4), k=3)
 
-    def test_threshold_triggers_reflatten_and_stays_exact(self):
+    def test_plain_session_reflattens_when_stale(self):
         rng = np.random.default_rng(44)
         base = rng.random((150, 4))
         index = SDIndex.build(base, repulsive=[0, 1], attractive=[2, 3])
         aggregator = index.aggregator
         from repro.core.batch import QuerySession
 
-        session = QuerySession(aggregator, reflatten_threshold=0.05)
+        # A plain session is not patched by writes: it notices that the
+        # aggregator mutated and reflattens on its next read.
+        session = QuerySession(aggregator)
         live = {i: base[i] for i in range(len(base))}
-        # 30 updates >> 5% of 150: the garbage threshold must trip.
         for _ in range(15):
             point = rng.random(4)
             live[index.insert(point)] = point
@@ -222,12 +221,9 @@ class TestSessionMaintenance:
         for j in range(5):
             assert batch[j].row_ids == oracle[j].row_ids
             assert batch[j].scores == oracle[j].scores
-        # ...and the session keeps being patched after the reflatten (patches
-        # that arrive while the session is dirty are skipped, not counted).
-        patched_before = session.patched_inserts
-        new_row = index.insert(rng.random(4))
-        live[new_row] = index.point(new_row)
-        assert session.patched_inserts == patched_before + 1
+        index.insert(rng.random(4))
+        assert session.needs_reflatten
+        assert session.patched_inserts == 0
 
     def test_empty_index_grows_through_patches(self):
         index = SDIndex.build(np.empty((0, 4)), repulsive=[0, 1], attractive=[2, 3])

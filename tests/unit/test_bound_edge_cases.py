@@ -61,9 +61,13 @@ class TestEmptyLiveSet:
     """``n_live == 0``: seeding finds nothing, the threshold is -inf, and the
     engine must return an empty result instead of tripping on empty pools."""
 
-    @pytest.mark.parametrize("compaction", ["legacy", "size_tiered"])
-    def test_query_after_deleting_everything(self, compaction):
-        index = build_index(rows=12, compaction=compaction)
+    @pytest.mark.parametrize("session_first", [False, True])
+    def test_query_after_deleting_everything(self, session_first):
+        index = build_index(rows=12)
+        if session_first:
+            # Tombstone every row of a built level instead of flattening an
+            # already-empty index.
+            index._aggregator.serving_session()
         index.bulk_delete(list(range(12)))
         result = index.query(make_query(0, k=5))
         assert list(result.row_ids) == []
@@ -83,7 +87,7 @@ class TestLargeK:
 
     def test_k_beyond_verify_pool_matches_oracle(self):
         rows = 4 * _VERIFY_POOL
-        index = build_index(rows=rows, compaction="legacy")
+        index = build_index(rows=rows)  # unmutated: the flat kernels alone
         assert_matches_oracle(index, k=_VERIFY_POOL + 40)
 
     def test_k_beyond_verify_pool_lsm(self):
@@ -141,7 +145,7 @@ class TestSeedPoolValidation:
             index._aggregator.session(seed_pool=bad, cached=False)
 
     def test_seed_pool_of_one_is_legal(self):
-        index = build_index(rows=8, compaction="legacy")
+        index = build_index(rows=8)
         session = index._aggregator.session(seed_pool=1, cached=False)
         oracle = oracle_of(index)
         query = make_query(2, k=3)

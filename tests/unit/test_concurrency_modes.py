@@ -1,9 +1,8 @@
-"""Unit tests for the concurrency knob and the snapshot view surfaces.
+"""Unit tests for the snapshot view surfaces.
 
 The multi-threaded behavior is exercised by the stress suite; these tests pin
-down the single-threaded contracts: the ``"unsafe"`` mode stays exact (it is
-the legacy in-place patching), invalid modes are rejected everywhere, and the
-snapshot views expose their lifecycle/metadata correctly.
+down the single-threaded contracts: updates stay exact while publishing
+epochs, and the snapshot views expose their lifecycle/metadata correctly.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import pytest
 
 from repro.baselines import SequentialScan
 from repro.core.aggregate import SubproblemAggregator
-from repro.core.batch import QuerySession
 from repro.core.sdindex import SDIndex
 from repro.core.sharding import ShardedIndex
 from repro.core.top1 import Top1Index
@@ -33,17 +31,11 @@ def _oracle(store, points, k):
     ).batch_query(points, k=k)
 
 
-class TestUnsafeMode:
-    """``concurrency="unsafe"`` keeps the legacy in-place patch semantics."""
-
-    @pytest.mark.parametrize("concurrency", ["snapshot", "unsafe"])
-    def test_flat_updates_stay_exact(self, concurrency):
+class TestSnapshotSurfaces:
+    def test_updates_stay_exact_and_publish_epochs(self):
         rng = np.random.default_rng(31)
         data = rng.random((120, 4))
-        index = SDIndex.build(
-            data, repulsive=REPULSIVE, attractive=ATTRACTIVE, concurrency=concurrency
-        )
-        assert index.concurrency == concurrency
+        index = SDIndex.build(data, repulsive=REPULSIVE, attractive=ATTRACTIVE)
         store = {row: data[row] for row in range(120)}
         points = rng.random((3, 4))
         index.batch_query(points, k=4)  # build the session
@@ -61,25 +53,18 @@ class TestUnsafeMode:
             assert batch[j].row_ids == expected[j].row_ids
             assert batch[j].scores == expected[j].scores
         session = index.query_session()
-        if concurrency == "unsafe":
-            # In-place patching: epochs are published only by (re)builds,
-            # never per update.
-            assert session.epochs.published == 1 + session.reflattens
-        else:
-            assert session.epochs.published > 1 + session.reflattens
+        # Every update publishes a copy-on-write successor epoch.
+        assert session.epochs.published > 1 + session.reflattens
 
-    def test_unsafe_sharded_updates_stay_exact(self):
+    def test_sharded_updates_stay_exact(self):
         rng = np.random.default_rng(32)
         data = rng.random((150, 4))
         engine = ShardedIndex(
-            data,
-            repulsive=REPULSIVE,
-            attractive=ATTRACTIVE,
-            num_shards=3,
-            concurrency="unsafe",
+            data, repulsive=REPULSIVE, attractive=ATTRACTIVE, num_shards=3
         )
         try:
             store = {row: data[row] for row in range(150)}
+            before = engine.snapshot()
             for row in range(0, 30):
                 engine.delete(row)
                 del store[row]
@@ -92,52 +77,52 @@ class TestUnsafeMode:
             for j in range(3):
                 assert batch[j].row_ids == expected[j].row_ids
                 assert batch[j].scores == expected[j].scores
+            # The snapshot pinned before the writes still sees every row.
+            assert len(before) == 150
+            assert list(before.live_row_ids()) == list(range(150))
+            before.close()
         finally:
             engine.close()
 
-    def test_unsafe_topk_patches_in_place(self):
+    def test_topk_updates_clone_the_flat_view(self):
         rng = np.random.default_rng(33)
         data = rng.random((80, 2))
-        index = TopKIndex(data[:, 0], data[:, 1], concurrency="unsafe")
+        index = TopKIndex(data[:, 0], data[:, 1])
         index.query(0.5, 0.5, k=3)
         flat_before = index.flat_session()
+        rows_before = flat_before.rows.copy()
+        live_before = flat_before.live.copy()
         index.insert(0.1, 0.9)
         index.delete(0)
-        assert index.flat_session() is flat_before  # same object, patched
+        # Writes publish a patched clone; the old view is left untouched.
+        assert index.flat_session() is not flat_before
+        np.testing.assert_array_equal(flat_before.rows, rows_before)
+        np.testing.assert_array_equal(flat_before.live, live_before)
         streams = index.query(0.4, 0.6, k=4, strategy="streams")
         flat = index.query(0.4, 0.6, k=4)
         assert flat.row_ids == streams.row_ids
         assert flat.scores == streams.scores
 
-    def test_invalid_mode_rejected_everywhere(self):
+    def test_removed_mode_knobs_are_rejected(self):
+        """``concurrency``/``compaction`` are gone from every constructor."""
+        from repro.core.batch import QuerySession
+
         rng = np.random.default_rng(34)
         data = rng.random((10, 4))
-        with pytest.raises(ValueError, match="concurrency"):
-            SDIndex.build(
-                data, repulsive=REPULSIVE, attractive=ATTRACTIVE, concurrency="nope"
-            )
-        with pytest.raises(ValueError, match="concurrency"):
-            SubproblemAggregator(
-                data, repulsive=REPULSIVE, attractive=ATTRACTIVE, concurrency="nope"
-            )
-        with pytest.raises(ValueError, match="concurrency"):
-            ShardedIndex(
-                data,
-                repulsive=REPULSIVE,
-                attractive=ATTRACTIVE,
-                num_shards=2,
-                concurrency="nope",
-            )
-        with pytest.raises(ValueError, match="concurrency"):
-            TopKIndex(data[:, 0], data[:, 1], concurrency="nope")
-        aggregator = SubproblemAggregator(
-            data, repulsive=REPULSIVE, attractive=ATTRACTIVE
-        )
-        with pytest.raises(ValueError, match="concurrency"):
-            QuerySession(aggregator, concurrency="nope")
+        roles = dict(repulsive=REPULSIVE, attractive=ATTRACTIVE)
+        for knob, value in (("concurrency", "unsafe"), ("compaction", "legacy")):
+            with pytest.raises(TypeError, match=knob):
+                SDIndex.build(data, **roles, **{knob: value})
+            with pytest.raises(TypeError, match=knob):
+                SubproblemAggregator(data, **roles, **{knob: value})
+        with pytest.raises(TypeError, match="concurrency"):
+            ShardedIndex(data, **roles, num_shards=2, concurrency="unsafe")
+        with pytest.raises(TypeError, match="concurrency"):
+            TopKIndex(data[:, 0], data[:, 1], concurrency="unsafe")
+        aggregator = SubproblemAggregator(data, **roles)
+        with pytest.raises(TypeError, match="concurrency"):
+            QuerySession(aggregator, concurrency="unsafe")
 
-
-class TestSnapshotSurfaces:
     def test_session_snapshot_lifecycle_and_guards(self):
         rng = np.random.default_rng(35)
         data = rng.random((60, 4))

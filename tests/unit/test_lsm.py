@@ -16,13 +16,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import SequentialScan
-from repro.core.lsm import (
-    COMPACTION_MODES,
-    DeltaState,
-    LsmSession,
-    LsmWorld,
-    validate_compaction,
-)
+from repro.core.lsm import DeltaState, LsmSession, LsmWorld
 from repro.core.query import SDQuery
 from repro.core.sdindex import SDIndex
 
@@ -61,20 +55,6 @@ def check_against_oracle(index: SDIndex, seed: int = 3) -> None:
         want = oracle.query(query)
         assert got.row_ids == want.row_ids
         assert got.scores == want.scores
-
-
-class TestValidateCompaction:
-    def test_known_modes_pass_through(self):
-        for mode in COMPACTION_MODES:
-            assert validate_compaction(mode) == mode
-
-    def test_unknown_mode_raises(self):
-        with pytest.raises(ValueError, match="unknown compaction mode"):
-            validate_compaction("levelled")
-
-    def test_index_constructor_validates(self):
-        with pytest.raises(ValueError, match="unknown compaction mode"):
-            build_index(compaction="nope")
 
 
 class TestDeltaState:
@@ -120,19 +100,36 @@ class TestDeltaState:
 class TestSessionRouting:
     def test_default_session_is_lsm(self):
         index = build_index()
-        assert index.compaction == "size_tiered"
         assert isinstance(session_of(index), LsmSession)
 
-    def test_legacy_knob_restores_in_place_session(self):
-        index = build_index(compaction="legacy")
-        session = session_of(index)
-        assert not isinstance(session, LsmSession)
+    def test_every_engine_serves_through_lsm_sessions(self, tmp_path):
+        """The LSM session is the only maintenance engine: reloaded indexes
+        and every shard of a sharded engine build one, and a plain session
+        built by hand is never patched by writes."""
+        from repro.core.batch import QuerySession
+        from repro.core.sharding import ShardedIndex
 
-    def test_lsm_requires_snapshot_concurrency(self):
-        index = build_index(concurrency="unsafe")
-        session = session_of(index)
-        # unsafe concurrency cannot publish epochs; routing falls back.
-        assert not isinstance(session, LsmSession)
+        index = build_index()
+        index.save(tmp_path / "snap")
+        for mmap in (False, True):
+            loaded = SDIndex.load(tmp_path / "snap", mmap=mmap)
+            assert isinstance(session_of(loaded), LsmSession)
+        rng = np.random.default_rng(8)
+        engine = ShardedIndex(
+            rng.random((60, NUM_DIMS)),
+            repulsive=REPULSIVE,
+            attractive=ATTRACTIVE,
+            num_shards=3,
+        )
+        try:
+            for shard in engine._shards:
+                assert isinstance(shard.serving_session(), LsmSession)
+        finally:
+            engine.close()
+        plain = QuerySession(index._aggregator)
+        index.insert(rng.random(NUM_DIMS))
+        assert plain.patched_inserts == 0
+        assert session_of(index).patched_inserts == 1
 
 
 class TestFlushAndCompact:

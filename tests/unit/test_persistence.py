@@ -10,9 +10,12 @@ regression, and the durable wrapper's checkpoint/recover cycle.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.baselines import SequentialScan
 from repro.core.persistence import (
     FORMAT_VERSION,
@@ -34,6 +37,26 @@ from repro.core.topk import TopKIndex
 
 REPULSIVE = (0, 1)
 ATTRACTIVE = (2, 3)
+
+
+class _PointHook:
+    """A stand-in fault plane handing every fired fault point to ``hook``."""
+
+    def __init__(self, hook) -> None:
+        self.hook = hook
+
+    def fire(self, point, key=None) -> None:
+        self.hook(point)
+
+
+@contextmanager
+def point_hook(hook):
+    """Run the block with ``hook(point)`` called at every fault point."""
+    faults.install_fault_plane(_PointHook(hook))
+    try:
+        yield
+    finally:
+        faults.install_fault_plane(None)
 
 
 def same_answers(expected, got):
@@ -223,8 +246,6 @@ class TestWriteAheadLog:
     def test_failed_append_rolls_back(self, tmp_path):
         """A write/fsync failure must not strand bytes that a retried append
         would follow with a duplicate LSN (bricking the next open)."""
-        from repro.core import persistence
-
         path = tmp_path / "wal.log"
         wal = WriteAheadLog(path)
         wal.append(OP_DELETE, [1])
@@ -235,12 +256,9 @@ class TestWriteAheadLog:
                 boom["armed"] = False
                 raise OSError("disk full (injected)")
 
-        persistence.install_fault_hook(hook)
-        try:
+        with point_hook(hook):
             with pytest.raises(OSError, match="disk full"):
                 wal.append(OP_DELETE, [2])
-        finally:
-            persistence.install_fault_hook(None)
         assert wal.end_lsn == 1
         assert wal.append(OP_DELETE, [3]) == 2  # retry reuses the freed LSN
         wal.close()
@@ -304,13 +322,10 @@ def test_sdindex_restored_bookkeeping(dataset, tmp_path):
     np.testing.assert_array_equal(loaded.point(5), dataset[5])
 
 
-@pytest.mark.parametrize("concurrency", ["snapshot", "unsafe"])
-def test_mmap_loaded_index_accepts_updates(dataset, queries, tmp_path, concurrency):
+def test_mmap_loaded_index_accepts_updates(dataset, queries, tmp_path):
     """Regression (latent mutability): patching an mmap-restored state must
     route through the copy-on-write clone path — mapped arrays are read-only."""
-    index = SDIndex.build(
-        dataset, repulsive=REPULSIVE, attractive=ATTRACTIVE, concurrency=concurrency
-    )
+    index = SDIndex.build(dataset, repulsive=REPULSIVE, attractive=ATTRACTIVE)
     index.save(tmp_path / "snap")
     loaded = SDIndex.load(tmp_path / "snap", mmap=True)
     store = {row: dataset[row].copy() for row in range(len(dataset))}
@@ -573,8 +588,6 @@ class TestDurableIndex:
     def test_checkpoint_rotation_keeps_racing_mutations(self, dataset, tmp_path):
         """Mutations landing while a checkpoint streams survive the rotation
         as the WAL tail (the log stays bounded without requiring quiescence)."""
-        from repro.core import persistence
-
         index = SDIndex.build(dataset, repulsive=REPULSIVE, attractive=ATTRACTIVE)
         durable = DurableIndex.create(index, tmp_path / "dur")
         rng = np.random.default_rng(29)
@@ -587,11 +600,8 @@ class TestDurableIndex:
                 racing["fired"] = True
                 durable.insert(rng.random(4), row_id=9_999)
 
-        persistence.install_fault_hook(race_one_insert)
-        try:
+        with point_hook(race_one_insert):
             durable.checkpoint()
-        finally:
-            persistence.install_fault_hook(None)
         assert racing["fired"]
         assert durable.wal.end_lsn == durable.wal.base_lsn + 1  # the tail
         expected = durable.batch_query(rng.random((4, 4)), k=3)
@@ -696,8 +706,6 @@ class TestDurableIndex:
         ahead of the journal: further mutations and checkpoints must refuse
         (making the divergence durable), while recover() restores the
         journal-consistent prefix."""
-        from repro.core import persistence
-
         index = SDIndex.build(dataset, repulsive=REPULSIVE, attractive=ATTRACTIVE)
         durable = DurableIndex.create(index, tmp_path / "dur")
         durable.insert(np.full(4, 0.25), row_id=5_000)
@@ -708,12 +716,9 @@ class TestDurableIndex:
                 boom["armed"] = False
                 raise OSError("disk full (injected)")
 
-        persistence.install_fault_hook(hook)
-        try:
+        with point_hook(hook):
             with pytest.raises(OSError, match="disk full"):
                 durable.insert(np.full(4, 0.75), row_id=6_000)
-        finally:
-            persistence.install_fault_hook(None)
         # Applied but unjournaled: the live engine answers with it...
         assert durable.point(6_000) is not None
         # ...but the wrapper refuses to deepen the divergence.
