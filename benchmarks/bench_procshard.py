@@ -109,6 +109,7 @@ def scaling_scenario(data: np.ndarray, points, ks, alphas, betas) -> dict:
         thread_seconds = best_of(serve_threads)
         proc_seconds = best_of(serve_procs)
         stats = dict(procs.serve_stats)
+        nonempty_shards = sum(1 for size in procs.shard_sizes() if size)
     finally:
         procs.close()
         threads.close()
@@ -125,6 +126,7 @@ def scaling_scenario(data: np.ndarray, points, ks, alphas, betas) -> dict:
         "probes": stats["probes"],
         "probes_pruned": stats["pruned"],
         "rounds": stats["rounds"],
+        "nonempty_shards": nonempty_shards,
     }
 
 
@@ -214,6 +216,15 @@ def main() -> int:
     if not scaling["bit_identical"]:
         print(
             "FAIL: process-sharded answers differ from the thread-pool engine",
+            file=sys.stderr,
+        )
+        return 1
+    pairs = scaling["num_queries"] * scaling["nonempty_shards"]
+    if scaling["probes"] + scaling["probes_pruned"] != pairs:
+        print(
+            f"FAIL: counted {scaling['probes']} probes + "
+            f"{scaling['probes_pruned']} pruned, not the {pairs} "
+            "(query, non-empty shard) pairs",
             file=sys.stderr,
         )
         return 1

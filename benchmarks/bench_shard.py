@@ -92,6 +92,7 @@ def run_scenario(name, data, repulsive, attractive, workload, partitioner):
     flat_seconds = best_of(lambda: flat.batch_query(workload))
     shard_seconds = best_of(lambda: sharded.batch_query(workload))
     stats = dict(sharded.serve_stats)
+    nonempty_shards = sum(1 for size in sharded.shard_sizes() if size)
     sharded.close()
     return {
         "scenario": name,
@@ -118,6 +119,7 @@ def run_scenario(name, data, repulsive, attractive, workload, partitioner):
         "probes": stats["probes"],
         "probes_pruned": stats["pruned"],
         "rounds": stats["rounds"],
+        "nonempty_shards": nonempty_shards,
     }
 
 
@@ -178,6 +180,16 @@ def main() -> int:
         print("FAIL: sharded answers differ from the single-session engine",
               file=sys.stderr)
         return 1
+    for point in [headline, *secondary]:
+        pairs = point["num_queries"] * point["nonempty_shards"]
+        if point["probes"] + point["probes_pruned"] != pairs:
+            print(
+                f"FAIL: {point['scenario']}/{point['partitioner']} counted "
+                f"{point['probes']} probes + {point['probes_pruned']} pruned, "
+                f"not the {pairs} (query, non-empty shard) pairs",
+                file=sys.stderr,
+            )
+            return 1
     if headline["speedup"] < MIN_SPEEDUP:
         print(
             f"FAIL: headline speedup {headline['speedup']:.2f}x below the "

@@ -169,7 +169,7 @@ def main() -> None:
           f"{sharded.shard_sizes()}, answers identical to the flat index; "
           f"last batch pruned {sharded.serve_stats['pruned']} of "
           f"{sharded.serve_stats['pruned'] + sharded.serve_stats['probes']} "
-          f"shard probes")
+          f"(query, shard) pairs by bound")
 
     # Shards stay balanced under skewed churn: rebalance() re-partitions the
     # live rows (quantile refit for range layouts) without changing any answer.

@@ -67,7 +67,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -86,7 +87,14 @@ _FP_KERNEL = faults.declare_fault_point(
     "batch.kernel", "batch kernel dispatch over one pinned session state"
 )
 
-__all__ = ["BatchQuerySpec", "QuerySession", "SessionSnapshot", "SessionState"]
+__all__ = [
+    "BatchQuerySpec",
+    "QuerySession",
+    "SessionSnapshot",
+    "SessionState",
+    "SourceMerge",
+    "merge_sources",
+]
 
 # Bounds are stored per angle as (max w_a, min w_a, max w_b, min w_b); keep the
 # same order as repro.core.projection_tree.
@@ -182,6 +190,22 @@ def _prune_bound(
     return kth_lower_bound - slack
 
 
+def _kth_best(scores: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Each query's ``ks[j]``-th best entry of an ``(m, pool)`` score matrix.
+
+    ``-inf`` where the pool holds fewer than ``ks[j]`` scores.  The entries are
+    real point scores, so the result is a lower bound on each query's true
+    k-th best — the seed of every pruning threshold.
+    """
+    pool = scores.shape[1]
+    kth = np.full(len(ks), -math.inf)
+    for j in range(len(ks)):
+        k_j = int(ks[j])
+        if pool >= k_j:
+            kth[j] = np.partition(scores[j], pool - k_j)[pool - k_j]
+    return kth
+
+
 def _seeded_threshold(
     score_sample,
     ks_eff: np.ndarray,
@@ -201,14 +225,105 @@ def _seeded_threshold(
     sample = np.unique(
         np.linspace(0, n_live - 1, min(n_live, seed_pool)).astype(np.int64)
     )
-    seed_scores = score_sample(sample)
-    pool = len(sample)
-    kth_lower = np.full(len(ks_eff), -math.inf)
-    for j in range(len(ks_eff)):
-        k_j = int(ks_eff[j])
-        if pool >= k_j:
-            kth_lower[j] = np.partition(seed_scores[j], pool - k_j)[pool - k_j]
+    kth_lower = _kth_best(score_sample(sample), ks_eff)
     return _prune_bound(kth_lower, weight_scale, magnitude)
+
+
+#: One probe of a source: ``(source, members, thresholds)`` — the source's
+#: index, the query indices it serves and their pruning thresholds.
+SourceTask = Tuple[int, np.ndarray, np.ndarray]
+
+_MATCH_ORDER = attrgetter("sort_key")
+
+
+@dataclass
+class SourceMerge:
+    """What :func:`merge_sources` returns.
+
+    ``pools[j]``: query ``j``'s best ``ks[j]`` matches by ``(-score, row_id)``;
+    ``examined[j]``: its summed candidate counts; ``skipped``: the reason of
+    every ``(source, j)`` pair whose task was not covered.  ``probes`` counts
+    the pairs handed to the round runner, ``pruned`` the non-empty pairs
+    never handed to it, ``rounds`` the rounds that had a task.
+    """
+
+    pools: List[List[Match]]
+    examined: np.ndarray
+    skipped: Dict[Tuple[int, int], str]
+    probes: int
+    pruned: int
+    rounds: int
+
+
+def merge_sources(
+    ubs: np.ndarray,
+    samples: np.ndarray,
+    ks: np.ndarray,
+    weight_scale: np.ndarray,
+    magnitude: float,
+    run_round: Callable[[List[SourceTask]], List[Union[Sequence[TopKResult], str]]],
+    floor: Optional[np.ndarray] = None,
+) -> SourceMerge:
+    """Bound-ordered top-k merge over several sources (DESIGN.md §5).
+
+    ``ubs`` holds ``(sources, m)`` admissible upper bounds (``-inf`` for an
+    empty source) and ``samples`` ``(m, pool)`` exact scores sampled across
+    every source.  The k-th best sample, less :func:`_prune_bound`'s slack at
+    ``magnitude`` and never below ``floor``, is each query's threshold; round
+    ``r`` sends each query to its ``r``-th best source unless that bound
+    misses it.  ``run_round`` runs a round's tasks (ascending source order)
+    and returns per task the members' results or a skip reason; the merged
+    matches re-tighten the thresholds.  The first round without a task ends
+    the loop: bounds only fall and thresholds only rise from there.
+    """
+    num_sources, m = ubs.shape
+    kth = _kth_best(samples, ks)
+    floor = np.full(m, -math.inf) if floor is None else np.asarray(floor, dtype=float)
+    present = ubs > -math.inf
+    visit = np.argsort(-ubs, axis=0, kind="stable")
+    queries = np.arange(m)
+    pools: List[List[Match]] = [[] for _ in range(m)]
+    examined = np.zeros(m, dtype=np.int64)
+    skipped: Dict[Tuple[int, int], str] = {}
+    probes = rounds = 0
+    for r in range(num_sources):
+        threshold = np.maximum(_prune_bound(kth, weight_scale, magnitude), floor)
+        source_of = visit[r]
+        due = present[source_of, queries] & (ubs[source_of, queries] >= threshold)
+        tasks: List[SourceTask] = []
+        for source in range(num_sources):
+            members = np.flatnonzero(due & (source_of == source))
+            if len(members):
+                tasks.append((source, members, threshold[members]))
+        if not tasks:
+            break
+        rounds += 1
+        probes += int(due.sum())
+        touched = set()
+        for (source, members, _), outcome in zip(tasks, run_round(tasks)):
+            if isinstance(outcome, str):
+                for j in members.tolist():
+                    skipped[(source, j)] = outcome
+                continue
+            for j, result in zip(members.tolist(), outcome):
+                pools[j].extend(result.matches)
+                examined[j] += result.candidates_examined
+                touched.add(j)
+        for j in touched:
+            pool = pools[j]
+            k_j = int(ks[j])
+            pool.sort(key=_MATCH_ORDER)
+            del pool[k_j:]
+            if len(pool) >= k_j:
+                kth[j] = max(kth[j], pool[-1].score)
+    return SourceMerge(
+        pools=pools,
+        examined=examined,
+        skipped=skipped,
+        probes=probes,
+        pruned=int(present.sum()) - probes,
+        rounds=rounds,
+    )
 
 
 def select_topk(scores: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:

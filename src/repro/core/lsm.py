@@ -45,7 +45,7 @@ from repro.core.batch import (
     QuerySession,
     SessionState,
     _FlatTree,
-    _prune_bound,
+    merge_sources,
     select_topk,
 )
 from repro.core.deadline import Deadline
@@ -691,43 +691,37 @@ class LsmSession(QuerySession):
         return self._world.describe()
 
     # ------------------------------------------------------------- read path
-    def _sources(self, world: LsmWorld) -> List[SessionState]:
-        return [level.state for level in world.levels if level.state.num_live > 0]
-
-    def _data_magnitude(self, state) -> float:
-        if isinstance(state, SessionState) or isinstance(state, DeltaState):
-            return super()._data_magnitude(state)
-        world = state
-        magnitude = 0.0
-        for source in self._sources(world):
-            magnitude = max(magnitude, super()._data_magnitude(source))
-        if world.delta.num_live:
-            magnitude = max(magnitude, super()._data_magnitude(world.delta))
-        return magnitude
-
-    def _sample_scores(self, state, spec: BatchQuerySpec, pool: int) -> np.ndarray:
-        if isinstance(state, SessionState) or isinstance(state, DeltaState):
-            return super()._sample_scores(state, spec, pool)
-        world = state
-        parts = [
-            super(LsmSession, self)._sample_scores(source, spec, pool)
-            for source in self._sources(world)
+    def _sources(self, world: LsmWorld) -> List[object]:
+        """The world's merge sources: levels with live rows, then the delta."""
+        sources: List[object] = [
+            level.state for level in world.levels if level.state.num_live > 0
         ]
         if world.delta.num_live:
-            parts.append(super()._sample_scores(world.delta, spec, pool))
-        if not parts:
-            return np.empty((len(spec), 0))
-        return np.hstack(parts)
+            sources.append(world.delta)
+        return sources
+
+    def _data_magnitude(self, state) -> float:
+        if isinstance(state, (SessionState, DeltaState)):
+            return super()._data_magnitude(state)
+        return max(
+            (self._data_magnitude(source) for source in self._sources(state)),
+            default=0.0,
+        )
+
+    def _sample_scores(self, state, spec: BatchQuerySpec, pool: int) -> np.ndarray:
+        if isinstance(state, (SessionState, DeltaState)):
+            return super()._sample_scores(state, spec, pool)
+        parts = [self._sample_scores(source, spec, pool) for source in self._sources(state)]
+        return np.hstack(parts) if parts else np.empty((len(spec), 0))
 
     def _upper_bounds(self, state, spec: BatchQuerySpec) -> np.ndarray:
         if isinstance(state, SessionState):
             return super()._upper_bounds(state, spec)
-        world = state
+        if isinstance(state, DeltaState):
+            return self._delta_upper_bounds(state, spec)
         bounds = np.full(len(spec), -math.inf)
-        for source in self._sources(world):
-            bounds = np.maximum(bounds, super()._upper_bounds(source, spec))
-        if world.delta.num_live:
-            bounds = np.maximum(bounds, self._delta_upper_bounds(world.delta, spec))
+        for source in self._sources(state):
+            bounds = np.maximum(bounds, self._upper_bounds(source, spec))
         return bounds
 
     def _delta_upper_bounds(self, delta: DeltaState, spec: BatchQuerySpec) -> np.ndarray:
@@ -825,97 +819,46 @@ class LsmSession(QuerySession):
         if deadline is not None:
             deadline.check()
         ks_eff = np.minimum(spec.ks, total_live)
-        sources = self._sources(world)
-        delta_live = world.delta.num_live
 
-        # One global k-th-best lower bound, seeded from samples pooled across
-        # every source — the cross-shard seeding pattern, applied per level.
+        # The levels, then the delta as a brute-forced pseudo-source, merged
+        # bound-ordered under one global k-th-best threshold seeded from
+        # samples pooled across all of them (DESIGN.md §5).
         magnitude = self._data_magnitude(world)
         for dim in set(self._aggregator.repulsive) | set(self._aggregator.attractive):
             magnitude = max(magnitude, float(np.abs(spec.points[:, dim]).max()))
         weight_scale = spec.alpha.sum(axis=1) + spec.beta.sum(axis=1)
         pooled = self._sample_scores(world, spec, self._seed_pool)
-        pool = pooled.shape[1]
-        kth_lower = np.full(m, -math.inf)
-        for j in range(m):
-            k_j = int(ks_eff[j])
-            if pool >= k_j:
-                kth_lower[j] = np.partition(pooled[j], pool - k_j)[pool - k_j]
-        floor = (
-            np.asarray(lower_bounds, dtype=float)
-            if lower_bounds is not None
-            else np.full(m, -math.inf)
-        )
+        sources = self._sources(world)
+        ubs = np.vstack([self._upper_bounds(source, spec) for source in sources])
 
-        # Bound-ordered source visitation — the cross-shard serving pattern
-        # applied *within* the layered world.  Each query walks the sources
-        # (levels, then the delta as a pseudo-source) in decreasing order of
-        # their admissible upper bounds; after every round the merged pools
-        # re-tighten the global k-th lower bound, so later sources run with a
-        # harder threshold or get skipped outright when their bound cannot
-        # reach it.  A skipped source only sheds rows scoring strictly below
-        # ``kth - slack`` — rows that can never enter the global top k — so
-        # the merge stays bit-identical to visiting everything.
-        probes: List[Tuple[str, object]] = [("level", source) for source in sources]
-        if delta_live:
-            probes.append(("delta", world.delta))
-        num_probes = len(probes)
-        ubs = np.vstack(
-            [
-                super(LsmSession, self)._upper_bounds(source, spec)
-                if kind == "level"
-                else self._delta_upper_bounds(source, spec)
-                for kind, source in probes
-            ]
-        )
-        visit = np.argsort(-ubs, axis=0, kind="stable")
-        pools: List[List[Match]] = [[] for _ in range(m)]
-        examined = np.zeros(m, dtype=np.int64)
-        for round_index in range(num_probes):
+        def run_round(tasks):
             if deadline is not None:
                 deadline.check()
-            threshold = np.maximum(
-                _prune_bound(kth_lower, weight_scale, magnitude), floor
-            )
-            probe_of = visit[round_index]
-            for p in range(num_probes):
-                members = np.flatnonzero((probe_of == p) & (ubs[p] >= threshold))
-                if len(members) == 0:
-                    continue
-                kind, source = probes[p]
-                sub_spec = spec.subset(members)
-                if kind == "level":
-                    sub_results = super()._execute(
-                        source, sub_spec, threshold[members], _label,
-                        deadline=deadline,
-                    ).results
-                else:
-                    sub_results = self._delta_topk(
-                        source, sub_spec, ks_eff[members], _label
+            outcomes = []
+            for p, members, thresholds in tasks:
+                source, sub_spec = sources[p], spec.subset(members)
+                if isinstance(source, DeltaState):
+                    outcomes.append(
+                        self._delta_topk(source, sub_spec, ks_eff[members], _label)
                     )
-                for i, j in enumerate(members):
-                    result = sub_results[i]
-                    pools[int(j)].extend(result.matches)
-                    examined[int(j)] += result.candidates_examined
-            for j in range(m):
-                pool = pools[j]
-                k_j = int(ks_eff[j])
-                if len(pool) >= k_j:
-                    pool.sort(key=lambda match: (-match.score, match.row_id))
-                    del pool[k_j:]
-                    kth_lower[j] = max(kth_lower[j], pool[-1].score)
+                else:
+                    outcomes.append(
+                        self._execute(
+                            source, sub_spec, thresholds, _label, deadline=deadline
+                        ).results
+                    )
+            return outcomes
 
-        results: List[TopKResult] = []
-        for j in range(m):
-            pool = pools[j]
-            pool.sort(key=lambda match: (-match.score, match.row_id))
-            del pool[int(ks_eff[j]) :]
-            results.append(
-                TopKResult(
-                    matches=pool,
-                    candidates_examined=int(examined[j]),
-                    full_evaluations=int(examined[j]),
-                    algorithm=_label,
-                )
+        merged = merge_sources(
+            ubs, pooled, ks_eff, weight_scale, magnitude, run_round, floor=lower_bounds
+        )
+        results = [
+            TopKResult(
+                matches=pool,
+                candidates_examined=int(examined),
+                full_evaluations=int(examined),
+                algorithm=_label,
             )
+            for pool, examined in zip(merged.pools, merged.examined)
+        ]
         return BatchResult(results=results, algorithm=_label)

@@ -67,7 +67,7 @@ from repro.core.isoline import Envelope, EnvelopeSide
 from repro.core.lsm import _FANOUT, _FLUSH_ROWS, DeltaState, Level, LsmSession, LsmWorld
 from repro.core.pairing import DimensionPairing
 from repro.core.sdindex import SDIndex
-from repro.core.sharding import ShardedIndex, ShardRouter, _ShardTopology
+from repro.core.sharding import ShardedIndex, ShardRouter, _ShardTopology, serve_counters
 from repro.core.top1 import Top1Index, _RunningTopKRegions
 from repro.core.topk import TopKIndex
 from repro.substrates.sorted_column import SortedColumn
@@ -1362,13 +1362,7 @@ def _restore_sharded(
     engine._deleted = set(int(row) for row in arrays["deleted"])
     engine._max_row_id = int(payload["max_row_id"])
     engine.rebalances = int(payload["rebalances"])
-    engine.serve_stats = {
-        "probes": 0,
-        "pruned": 0,
-        "rounds": 0,
-        "skipped": 0,
-        "retries": 0,
-    }
+    engine.serve_stats = serve_counters()
     # Resilience policy is runtime serving configuration, not index state:
     # a restored engine starts in the legacy fail-fast mode until the owner
     # attaches a policy, exactly like a freshly constructed one.

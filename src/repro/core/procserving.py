@@ -7,9 +7,10 @@ ceiling: one **worker process per shard**, each mmap-loading its sub-snapshot
 read-only via :func:`repro.core.persistence.load_engine` (``mmap=True``) and
 serving it through the same maintained
 :class:`~repro.core.batch.QuerySession`, with a scatter-gather coordinator
-that reuses the thread engine's bound-ordered visitation and cross-shard
-k-th pruning loop *verbatim* — results are bit-identical to the flat engine
-by construction (same ``(-score, row_id)`` tie-break).
+that serves through the thread engine's ``_serve_snapshot`` and so through
+the same bound-ordered merge (:func:`~repro.core.batch.merge_sources`) —
+results are bit-identical to the flat engine by construction (same
+``(-score, row_id)`` tie-break).
 
 Architecture
 ------------
@@ -92,7 +93,7 @@ from repro.core.persistence import (
 )
 from repro.core.query import SDQuery
 from repro.core.results import BatchResult, TopKResult
-from repro.core.sharding import ShardedIndex, ShardRouter
+from repro.core.sharding import ShardedIndex, ShardRouter, serve_counters
 from repro.serving.breaker import ResiliencePolicy
 
 __all__ = ["ProcessShardedIndex", "ProcessSnapshot", "WorkerDied"]
@@ -322,15 +323,6 @@ class _WorkerView:
         )
 
 
-class _ProxySnapshot:
-    """The ``snap`` the reused serving loop sees: just a list of views."""
-
-    __slots__ = ("views",)
-
-    def __init__(self, views: List[_WorkerView]) -> None:
-        self.views = views
-
-
 class ProcessSnapshot:
     """A serve handle for the process backend (coalescer/server integration).
 
@@ -504,7 +496,7 @@ class ProcessShardedIndex:
             resilience if resilience is not None else ResiliencePolicy(retry=None)
         )
         self._breakers = self.resilience.build_breakers(inner.num_shards)
-        self.serve_stats: Dict[str, int] = {}
+        self.serve_stats: Dict[str, int] = serve_counters()
         self._executor: Optional[ThreadPoolExecutor] = None
         self._closed = False
         self._lock = threading.RLock()
@@ -763,17 +755,14 @@ class ProcessShardedIndex:
             self._serve_lsn = target
             snap = self._inner.snapshot()
             try:
-                proxy = _ProxySnapshot(
-                    [
-                        _WorkerView(self, handle, local)
-                        for handle, local in zip(self._workers, snap.views)
-                    ]
-                )
-                # The thread engine's scatter-gather loop, reused verbatim
-                # (duck-typed self): bound-ordered visitation, cross-shard
-                # k-th pruning, breaker/retry/degradation semantics — with
-                # probes crossing the process boundary instead of the GIL.
-                return ShardedIndex._serve_snapshot(self, proxy, spec, deadline=deadline)
+                views = [
+                    _WorkerView(self, handle, local)
+                    for handle, local in zip(self._workers, snap.views)
+                ]
+                # The thread engine's serving loop, with probes crossing the
+                # process boundary: bound math on the primary's views, shard
+                # kernels in the workers.
+                return ShardedIndex._serve_snapshot(self, views, spec, deadline=deadline)
             finally:
                 snap.close()
 

@@ -18,15 +18,12 @@ density/locality-aware any-k serving, arxiv 1611.04705, PAPERS.md):
   trees, sorted columns and maintained serving :class:`QuerySession` — so
   updates patch K small flat views instead of one monolithic one, and a
   garbage-triggered reflatten re-walks only the dirty shard.
-* **Bound-ordered pruned serving.**  Before touching any shard, the engine
-  collects one admissible upper bound per (query, shard) from the collapsed
-  flat leaf arrays (:meth:`QuerySession.upper_bounds` — O(1) pseudo-leaves, not
-  a traversal).  Each query then visits shards in descending bound order;
-  after every round the running global k-th best score tightens, and a shard
-  whose bound misses it (minus the engine's usual float slack) is skipped
-  outright.  Bounds for skipped shards are admissible, so results are
-  *bit-identical* to the unsharded flat engine: identical scores, identical
-  row ids, the same ``(-score, row_id)`` tie-break.
+* **Bound-ordered pruned serving.**  One admissible upper bound per (query,
+  shard) from the collapsed flat leaf arrays (:meth:`QuerySession.upper_bounds`
+  — O(1) pseudo-leaves, not a traversal) drives
+  :func:`repro.core.batch.merge_sources`: shards are visited in descending
+  bound order and skipped once their bound misses the running global k-th
+  best, so results are *bit-identical* to the unsharded flat engine.
 * **Parallel shard probes.**  Independent probes of one round run on a shared
   :class:`concurrent.futures.ThreadPoolExecutor` — the numpy kernels release
   the GIL, so multi-core hosts overlap shard work; merging stays in submission
@@ -44,7 +41,6 @@ for construction.
 
 from __future__ import annotations
 
-import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
@@ -53,7 +49,7 @@ import numpy as np
 
 from repro import faults
 from repro.core.aggregate import SubproblemAggregator, claim_row_id
-from repro.core.batch import BatchQuerySpec, SessionSnapshot, _prune_bound
+from repro.core.batch import BatchQuerySpec, SessionSnapshot, merge_sources
 from repro.core.deadline import Deadline, DeadlineExceeded
 from repro.core.epoch import EpochManager
 from repro.core.query import SDQuery
@@ -80,6 +76,16 @@ _UINT64_MASK = (1 << 64) - 1
 
 #: Default max/mean shard-size skew tolerated before ``maybe_rebalance`` acts.
 _DEFAULT_SKEW_THRESHOLD = 2.0
+
+
+def serve_counters(
+    probes: int = 0, pruned: int = 0, rounds: int = 0, skipped: int = 0, retries: int = 0
+) -> Dict[str, int]:
+    """``serve_stats`` of one serving call (all zero before the first); the
+    one definition of its keys, documented on :class:`ShardedIndex`."""
+    return dict(
+        probes=probes, pruned=pruned, rounds=rounds, skipped=skipped, retries=retries
+    )
 
 
 def _hash_shards(row_ids: np.ndarray, num_shards: int, salt: int = 0) -> np.ndarray:
@@ -235,8 +241,17 @@ class ShardedIndex:
     roles, same index options forwarded to every shard) plus the sharding
     knobs; :meth:`query` / :meth:`batch_query` accept the same inputs and
     return results bit-identical to the unsharded flat engine.  Updates route
-    through the :class:`ShardRouter`; ``serve_stats`` records, per serving
-    call, how many shard probes ran versus were pruned by the bound order.
+    through the :class:`ShardRouter`.
+
+    **Serving counters.**  ``serve_stats`` describes the most recent serving
+    call (all zero before the first).  Of the batch's (query, shard) pairs
+    whose shard holds live rows, ``probes`` counts those handed to a shard
+    probe and ``pruned`` the rest, skipped by the bound order — so
+    ``probes + pruned`` is the number of queries times non-empty shards,
+    however the queries were batched.  ``rounds`` counts the bound-ordered
+    visit rounds that probed anything; ``skipped`` counts probed pairs the
+    resilience policy left uncovered (fault, open breaker or deadline) and
+    ``retries`` the re-probes it made.
 
     **Concurrency.**  Every serving call pins a consistent cut — the
     topology epoch plus one session epoch per shard — before touching any
@@ -304,18 +319,8 @@ class ShardedIndex:
         self._deleted: set = set()
         self._max_row_id = int(rows.max()) if len(rows) else -1
         self.rebalances = 0
-        #: Counters of the most recent serving call: ``probes`` and ``pruned``
-        #: count (query, shard) pairs probed vs skipped by the bound order;
-        #: ``rounds`` counts the bound-ordered visit waves; ``skipped`` and
-        #: ``retries`` count shards abandoned vs re-probed by the resilience
-        #: policy.
-        self.serve_stats: Dict[str, int] = {
-            "probes": 0,
-            "pruned": 0,
-            "rounds": 0,
-            "skipped": 0,
-            "retries": 0,
-        }
+        #: Counters of the most recent serving call (see the class docstring).
+        self.serve_stats: Dict[str, int] = serve_counters()
 
         #: Fault-domain policy (DESIGN.md §9).  ``None`` keeps the legacy
         #: fail-fast contract: no retries, no breakers, every probe error
@@ -709,7 +714,7 @@ class ShardedIndex:
         if self._closed:
             raise RuntimeError("ShardedIndex is closed")
         with self.snapshot() as snap:
-            return self._serve_snapshot(snap, spec, deadline=deadline)
+            return self._serve_snapshot(snap.views, spec, deadline=deadline)
 
     def breaker_stats(self) -> Optional[List[Dict[str, object]]]:
         """Per-shard circuit-breaker counters (None without a resilience policy)."""
@@ -719,15 +724,16 @@ class ShardedIndex:
 
     def _serve_snapshot(
         self,
-        snap: "ShardedSnapshot",
+        views: Sequence[SessionSnapshot],
         spec: BatchQuerySpec,
         deadline: Optional[Deadline] = None,
     ) -> BatchResult:
-        """The serving loop: bound-ordered shard visits with global pruning.
+        """Serve one batch over pinned shard views with :func:`merge_sources`.
 
-        Runs entirely against the snapshot's pinned session views, so
-        concurrent mutation (including a rebalance publishing a new topology)
-        cannot shift bounds, masks or row sets mid-flight.
+        Runs entirely against the pinned session views, so concurrent
+        mutation (including a rebalance publishing a new topology) cannot
+        shift bounds, masks or row sets mid-flight.  The process engine
+        serves through this same method with its worker-backed views.
 
         With a :class:`~repro.serving.breaker.ResiliencePolicy` installed,
         transient probe failures are retried with jittered backoff, shards
@@ -753,7 +759,6 @@ class ShardedIndex:
         label = "sd-sharded/batch"
         if m == 0:
             return BatchResult(results=[], algorithm=label)
-        views = snap.views
         num_shards = len(views)
         total_live = sum(view.num_live for view in views)
         if total_live == 0:
@@ -766,9 +771,6 @@ class ShardedIndex:
         # One admissible upper bound per (shard, query), from the collapsed
         # flat leaf arrays of each pinned view.
         ubs = np.vstack([view.upper_bounds(spec) for view in views])
-        # Per-query shard visit order, best bound first (stable: equal bounds
-        # keep shard order, so serving is deterministic).
-        order = np.argsort(-ubs, axis=0, kind="stable")
 
         # Slack scale for the shard-skip test, matching the engine's pruning
         # slack so an exact tie at the k-th boundary never skips its shard.
@@ -779,187 +781,120 @@ class ShardedIndex:
         for dim in self.repulsive + self.attractive:
             magnitude = max(magnitude, float(np.abs(spec.points[:, dim]).max()))
 
-        pools: List[List] = [[] for _ in range(m)]
-        examined = np.zeros(m, dtype=np.int64)
-        probes = pruned = rounds = 0
-        policy = self.resilience
-        breakers = self._breakers
-        degrade = policy is not None and policy.degrade
-        #: ``(shard, j) -> reason`` for every query/shard pair left uncovered.
-        skipped: Dict[Tuple[int, int], str] = {}
-        retries = 0
-
-        # Seed a *global* per-query lower bound on the k-th best score from a
-        # cross-shard sample, so far shards can be pruned before any probe and
-        # every probe starts with a tight enumeration threshold.  Sample
+        # A cross-shard sample seeds the global k-th lower bound.  Sample
         # scores are real point scores up to ulp-level term-order differences,
         # which the engine's pruning slack absorbs — admissible.
-        kth_lower = np.full(m, -math.inf)
         sample_pool = max(64, 1024 // num_shards)
         samples = np.hstack(
             [view.sample_scores(spec, sample_pool) for view in views]
         )
-        pool_size = samples.shape[1]
-        for j in range(m):
-            k_j = int(ks_global[j])
-            if pool_size >= k_j:
-                kth_lower[j] = np.partition(samples[j], pool_size - k_j)[
-                    pool_size - k_j
-                ]
 
-        for r in range(num_shards):
-            skip_below = _prune_bound(kth_lower, weight_scale, magnitude)
-            if deadline is not None and deadline.expired:
-                # Budget gone at a round boundary: everything still standing
-                # (visitable and not prunable) becomes an explicit skip under
-                # degradation, or the deadline propagates.
-                if not degrade:
+        policy = self.resilience
+        breakers = self._breakers
+        degrade = policy is not None and policy.degrade
+        retries = 0
+
+        def probe(shard: int, members: np.ndarray, thresholds: np.ndarray):
+            faults.fire(_FP_PROBE, key=shard)
+            # The thresholds already carry the pruning slack at the *global*
+            # magnitude, so a shard with small coordinates cannot under-slack
+            # a bound seeded from another shard's samples.
+            return views[shard].run(
+                spec.subset(members),
+                lower_bounds=thresholds,
+                deadline=deadline,
+                _label=label,
+            ).results
+
+        def attempt(shard: int, members: np.ndarray, thresholds: np.ndarray):
+            """One shard's covered attempt: its results, or a skip reason.
+
+            Applies the breaker gate, the bounded retry budget and the
+            deadline; with ``degrade=False`` (or no policy) the failure
+            propagates instead of returning a skip.
+            """
+            nonlocal retries
+            breaker = breakers[shard] if breakers is not None else None
+            last_exc: Optional[BaseException] = None
+
+            def give_up(reason: str):
+                if degrade:
+                    return reason
+                if reason == "breaker_open":
+                    from repro.serving.breaker import BreakerOpen
+
+                    raise BreakerOpen(breaker.name, breaker.retry_after())
+                if reason == "deadline":
                     raise DeadlineExceeded(deadline.budget)
-                for j in range(m):
-                    for rr in range(r, num_shards):
-                        shard = int(order[rr, j])
-                        if not np.isfinite(ubs[shard, j]):
-                            continue
-                        if ubs[shard, j] < skip_below[j]:
-                            pruned += 1
-                            continue
-                        skipped[(shard, j)] = "deadline"
-                break
-            tasks: Dict[int, List[int]] = {}
-            for j in range(m):
-                shard = int(order[r, j])
-                if not np.isfinite(ubs[shard, j]):
-                    continue  # empty shard: nothing to probe or to count
-                if ubs[shard, j] < skip_below[j]:
-                    pruned += 1
-                    continue
-                tasks.setdefault(shard, []).append(j)
-            if not tasks:
-                break
-            rounds += 1
-            probes += sum(len(js) for js in tasks.values())
+                raise last_exc
 
-            def probe(shard: int, js: List[int]):
-                faults.fire(_FP_PROBE, key=shard)
-                members = np.asarray(js, dtype=np.int64)
-                # skip_below already carries the pruning slack at the *global*
-                # magnitude, so a shard with small coordinates cannot
-                # under-slack a bound seeded from another shard's samples.
-                return views[shard].run(
-                    spec.subset(members),
-                    lower_bounds=skip_below[members],
-                    deadline=deadline,
-                    _label=label,
-                )
-
-            def attempt(shard: int, js: List[int]):
-                """One shard's covered attempt: ``("ok", batch)`` or ``("skip", reason)``.
-
-                Applies the breaker gate, the bounded retry budget and the
-                deadline; with ``degrade=False`` (or no policy) the failure
-                propagates instead of returning a skip.
-                """
-                nonlocal retries
-                breaker = breakers[shard] if breakers is not None else None
-                last_exc: Optional[BaseException] = None
-
-                def give_up(reason: str):
-                    if degrade:
-                        return ("skip", reason)
-                    if reason == "breaker_open":
-                        from repro.serving.breaker import BreakerOpen
-
-                        raise BreakerOpen(breaker.name, breaker.retry_after())
-                    if reason == "deadline":
-                        raise DeadlineExceeded(deadline.budget)
-                    raise last_exc
-
-                attempts = policy.max_attempts if policy is not None else 1
-                for attempt_no in range(attempts):
-                    if deadline is not None and deadline.expired:
-                        return give_up("deadline")
-                    if breaker is not None and not breaker.allow():
-                        return give_up("breaker_open")
-                    try:
-                        batch = probe(shard, js)
-                    except DeadlineExceeded:
-                        # Not the shard's fault: no breaker verdict, just
-                        # return the half-open trial slot if one was taken.
-                        if breaker is not None:
-                            breaker.record_cancel()
-                        return give_up("deadline")
-                    except BaseException as exc:  # noqa: BLE001
-                        if breaker is not None:
-                            breaker.record_failure()
-                        if policy is None or not policy.is_transient(exc):
-                            raise
-                        last_exc = exc
-                        if attempt_no + 1 < attempts:
-                            retries += 1
-                            if policy.retry is not None:
-                                pause = policy.retry.backoff(attempt_no)
-                                if deadline is not None:
-                                    pause = min(pause, deadline.remaining())
-                                if pause > 0:
-                                    policy.sleep(pause)
-                        continue
+            attempts = policy.max_attempts if policy is not None else 1
+            for attempt_no in range(attempts):
+                if deadline is not None and deadline.expired:
+                    return give_up("deadline")
+                if breaker is not None and not breaker.allow():
+                    return give_up("breaker_open")
+                try:
+                    results = probe(shard, members, thresholds)
+                except DeadlineExceeded:
+                    # Not the shard's fault: no breaker verdict, just
+                    # return the half-open trial slot if one was taken.
                     if breaker is not None:
-                        breaker.record_success()
-                    return ("ok", batch)
-                return give_up("fault")
+                        breaker.record_cancel()
+                    return give_up("deadline")
+                except BaseException as exc:  # noqa: BLE001
+                    if breaker is not None:
+                        breaker.record_failure()
+                    if policy is None or not policy.is_transient(exc):
+                        raise
+                    last_exc = exc
+                    if attempt_no + 1 < attempts:
+                        retries += 1
+                        if policy.retry is not None:
+                            pause = policy.retry.backoff(attempt_no)
+                            if deadline is not None:
+                                pause = min(pause, deadline.remaining())
+                            if pause > 0:
+                                policy.sleep(pause)
+                    continue
+                if breaker is not None:
+                    breaker.record_success()
+                return results
+            return give_up("fault")
 
-            ordered = sorted(tasks.items())
-            if self.parallel and len(ordered) > 1:
+        def run_round(tasks):
+            if self.parallel and len(tasks) > 1:
                 executor = self._executor_instance()
-                futures = [
-                    (shard, js, executor.submit(attempt, shard, js))
-                    for shard, js in ordered
-                ]
+                futures = [executor.submit(attempt, *task) for task in tasks]
                 # Collect every future even if one fails: cancel what has not
                 # started, then re-raise the *first* probe error so a failing
                 # probe is never masked by a secondary shutdown error.
                 outcomes = []
                 error: Optional[BaseException] = None
-                for shard, js, future in futures:
+                for future in futures:
                     if error is None:
                         try:
-                            outcomes.append((shard, js, future.result()))
+                            outcomes.append(future.result())
                         except BaseException as exc:  # noqa: BLE001
                             error = exc
                     else:
                         future.cancel()
                 if error is not None:
                     raise error
-            else:
-                outcomes = [
-                    (shard, js, attempt(shard, js)) for shard, js in ordered
-                ]
+                return outcomes
+            return [attempt(*task) for task in tasks]
 
-            batches = []
-            for shard, js, (status, payload) in outcomes:
-                if status == "ok":
-                    batches.append((js, payload))
-                else:
-                    for j in js:
-                        skipped[(shard, j)] = payload
-
-            # Merge in fixed shard order so results never depend on scheduling.
-            for js, batch in batches:
-                for j, result in zip(js, batch.results):
-                    pools[j].extend(result.matches)
-                    examined[j] += result.candidates_examined
-                    pools[j].sort()
-                    del pools[j][int(ks_global[j]) :]
-                    if len(pools[j]) >= int(ks_global[j]):
-                        kth_lower[j] = max(kth_lower[j], pools[j][-1].score)
-
-        self.serve_stats = {
-            "probes": probes,
-            "pruned": pruned,
-            "rounds": rounds,
-            "skipped": len(skipped),
-            "retries": retries,
-        }
+        merged = merge_sources(
+            ubs, samples, ks_global, weight_scale, magnitude, run_round
+        )
+        skipped = merged.skipped
+        self.serve_stats = serve_counters(
+            probes=merged.probes,
+            pruned=merged.pruned,
+            rounds=merged.rounds,
+            skipped=len(skipped),
+            retries=retries,
+        )
         results = []
         for j in range(m):
             skips = tuple(
@@ -982,9 +917,9 @@ class ShardedIndex:
                 )
             results.append(
                 TopKResult(
-                    matches=pools[j],
-                    candidates_examined=int(examined[j]),
-                    full_evaluations=int(examined[j]),
+                    matches=merged.pools[j],
+                    candidates_examined=int(merged.examined[j]),
+                    full_evaluations=int(merged.examined[j]),
                     algorithm="sd-sharded",
                     degraded=coverage is not None,
                     coverage=coverage,
@@ -1130,7 +1065,7 @@ class ShardedSnapshot:
     ) -> TopKResult:
         """Answer one SD-Query against the pinned cut."""
         spec = self._engine._coerce_single(query, k, alpha, beta)
-        return self._engine._serve_snapshot(self, spec).results[0]
+        return self._engine._serve_snapshot(self.views, spec).results[0]
 
     def batch_query(
         self, queries, k=None, alpha=None, beta=None, deadline=None
@@ -1145,7 +1080,7 @@ class ShardedSnapshot:
             alpha=alpha,
             beta=beta,
         )
-        return self._engine._serve_snapshot(self, spec, deadline=deadline)
+        return self._engine._serve_snapshot(self.views, spec, deadline=deadline)
 
 
 class ShardedXYIndex:

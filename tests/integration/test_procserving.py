@@ -29,7 +29,7 @@ import pytest
 from repro.baselines import SequentialScan
 from repro.core.deadline import Deadline
 from repro.core.procserving import ProcessShardedIndex
-from repro.core.sharding import ShardedIndex
+from repro.core.sharding import ShardedIndex, serve_counters
 from repro.serving.breaker import ResiliencePolicy
 from repro.serving.server import SDQueryServer, ServingClient, ServingConfig
 
@@ -82,6 +82,18 @@ class TestProcessServing:
                 v2 = snap.version
             assert v2[0] == v1[0] + 1  # an epoch flip was broadcast
         assert engine.closed
+
+    def test_serve_stats_readable_before_the_first_batch(self):
+        data = _dataset()
+        with ProcessShardedIndex(
+            data, repulsive=REPULSIVE, attractive=ATTRACTIVE, num_shards=2
+        ) as engine:
+            assert engine.serve_stats == serve_counters()
+            engine.batch_query(_points(4), k=3)
+            stats = engine.serve_stats
+            assert sorted(stats) == sorted(serve_counters())
+            nonempty = sum(1 for size in engine.shard_sizes() if size)
+            assert stats["probes"] + stats["pruned"] == 4 * nonempty
 
     def test_queries_after_close_raise(self):
         engine = ProcessShardedIndex(
